@@ -1,9 +1,9 @@
-"""Task-assignment job: distributed N/D/U_EAI aggregation + Algorithm 1.
+"""Task-assignment job: a distributed TDH fit, then Algorithm 1.
 
-The heavy statistics of Lemma 4.1 — the Eq. (9) numerator/denominator
-tables and the per-object upper bound — come from the TDH Spark fit; the
-heap phase of Algorithm 1 is inherently sequential and runs on the
-collected O(|O|) frontier.
+The TDH Spark fit returns the Eq. (9) numerator/denominator tables and
+the per-object ``object_info``; EAI computes the Lemma 4.1 upper bound
+from them and runs Algorithm 1, whose heap phase is sequential, on the
+driver over the O(|O|) frontier.
 
 Usage: spark-submit jobs/assign_tasks.py [--dataset bp|her] [--sf 0.1] [--k 5]
 """

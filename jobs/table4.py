@@ -8,10 +8,8 @@ from __future__ import annotations
 import argparse
 import time
 
-import sys, os
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from repro.tables.table4 import table4  # noqa: E402
+import _common  # noqa: F401  (puts src/ on sys.path)
+from repro.tables.table4 import table4
 
 
 def main() -> None:

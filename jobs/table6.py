@@ -7,10 +7,8 @@ from __future__ import annotations
 import argparse
 import time
 
-import sys, os
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from repro.tables.table6 import table6  # noqa: E402
+import _common  # noqa: F401  (puts src/ on sys.path)
+from repro.tables.table6 import table6
 
 
 def main() -> None:

@@ -117,22 +117,6 @@ def onecoin_likelihood_matrix(K: int, acc: float) -> np.ndarray:
     return A
 
 
-def answer_likelihood(ctx: AssignContext, w: str, o: str) -> tuple[list[str], np.ndarray]:
-    """(candidate values, A matrix) for worker ``w`` on object ``o``."""
-    if ctx.result.psi is not None or (
-        ctx.object_info is not None and ctx.result.N is not None
-    ):
-        psi = ctx.worker_psi(w)
-        B1, B2, B3 = ctx.likelihood_basis(o)
-        return (
-            ctx.object_info[o]["values"],
-            psi[0] * B1 + psi[1] * B2 + psi[2] * B3,
-        )
-    mu = ctx.mu_map[o]
-    values = sorted(mu)
-    return values, onecoin_likelihood_matrix(len(values), ctx.worker_acc(w))
-
-
 def mu_vector(ctx: AssignContext, o: str, values: list[str]) -> np.ndarray:
     cached = ctx._mu_vec_cache.get(o)
     if cached is not None and cached[0] == values:

@@ -1,4 +1,4 @@
-"""TDH truth inference — vectorized reference engine.
+"""TDH truth inference — the model's one numpy encoding and its local driver.
 
 Implements the paper's EM algorithm (§3.2, Fig. 4, Eq. 9–11) exactly:
 
@@ -11,14 +11,12 @@ Implements the paper's EM algorithm (§3.2, Fig. 4, Eq. 9–11) exactly:
 * Dirichlet priors ``alpha=(3,3,2)``, ``beta=gamma=(2,…)`` (§5.1) and the
   MAP M-step updates of Eq. (9)–(11).
 
-This engine is numerically identical to the Spark implementation in
-:mod:`repro.core.tdh_spark` (asserted in tests); it exists because the
-crowdsourcing round loop re-runs EM thousands of times on tiny deltas,
-where per-job Spark overhead would dominate (see DESIGN.md §3).
-
 Everything is represented with integer-coded numpy arrays; one EM
 iteration is a handful of ``np.bincount`` segment reductions over the
-expanded (claim × candidate) relation.
+expanded (claim × candidate) relation. :class:`TDH` runs it in process;
+:mod:`repro.core.tdh_spark` runs the same ``_prepare`` per object shard,
+:func:`_estep_sums` as one Spark job per iteration, and the same
+``TDH._em`` loop and ``_package`` on the driver.
 """
 from __future__ import annotations
 
@@ -83,11 +81,15 @@ class TDH:
         """
         p = _prepare(records, answers, anc_pairs)
         mu, phi, psi, n_iter = self._em(p)
-        return _package(p, mu, phi, psi, self.gamma, n_iter)
+        mu_num = _estep_sums(p, mu, phi, psi)[0]
+        info = object_info(records, answers, anc_pairs)
+        return _package(p, mu, phi, psi, self.gamma, n_iter, mu_num, info)
 
     # ------------------------------------------------------------------
-    def _em(self, p: dict):
-        C = p["n_cand"]
+    def _em(self, p: dict, sums=None):
+        """Run EM on ``p``; ``sums(p, mu, phi, psi)`` returns the E-step
+        sums (default: :func:`_estep_sums` over ``p``'s own expanded rows)."""
+        sums = sums or _estep_sums
         gm1 = self.gamma - 1.0
         src: _Side = p["src"]
         wrk: _Side | None = p["wrk"]
@@ -111,11 +113,7 @@ class TDH:
         b_sum = self.beta.sum() - 3.0
         n_iter = 0
         for n_iter in range(1, self.max_iter + 1):
-            f_src, g_src = _estep(src, phi, mu)
-            mu_num = np.bincount(src.cand, f_src, minlength=C)
-            if wrk is not None:
-                f_wrk, g_wrk = _estep(wrk, psi, mu)
-                mu_num += np.bincount(wrk.cand, f_wrk, minlength=C)
+            mu_num, g_src, g_wrk = sums(p, mu, phi, psi)
             mu_new = (mu_num + gm1) / mu_den[obj_of]
             phi = (g_src + (self.alpha - 1.0)) / (
                 src.claims_per_agent[:, None] + a_sum
@@ -145,6 +143,18 @@ def _estep(side: _Side, param: np.ndarray, mu: np.ndarray):
     return f, g
 
 
+def _estep_sums(p: dict, mu: np.ndarray, phi: np.ndarray, psi: np.ndarray | None):
+    """The E-step sums of Eq. (9)–(11): per-candidate ``f`` and per-agent
+    ``g`` for sources and workers (``g_wrk`` is None without answers)."""
+    f_src, g_src = _estep(p["src"], phi, mu)
+    mu_num = np.bincount(p["src"].cand, f_src, minlength=p["n_cand"])
+    g_wrk = None
+    if p["wrk"] is not None:
+        f_wrk, g_wrk = _estep(p["wrk"], psi, mu)
+        mu_num += np.bincount(p["wrk"].cand, f_wrk, minlength=p["n_cand"])
+    return mu_num, g_src, g_wrk
+
+
 def _prepare(
     records: pd.DataFrame,
     answers: pd.DataFrame | None,
@@ -153,6 +163,10 @@ def _prepare(
     """Integer-code the problem and build the expanded E-step relations."""
     if records.duplicated(["object", "source"]).any():
         raise ValueError("records must have at most one claim per (object, source)")
+    if answers is not None and not len(answers):
+        answers = None
+    if answers is not None and answers.duplicated(["object", "worker"]).any():
+        raise ValueError("answers must have at most one row per (object, worker)")
     cand = (
         records[["object", "value"]]
         .drop_duplicates()
@@ -165,6 +179,10 @@ def _prepare(
     cand["cid"] = np.arange(len(cand))
     cid_of = {(o, v): c for o, v, c in zip(cand["object"], cand["value"], cand["cid"])}
     n_obj, n_cand = len(objects), len(cand)
+    if answers is not None:
+        for o, v in zip(answers["object"], answers["value"]):
+            if (o, v) not in cid_of:
+                raise ValueError(f"answer value {v!r} not a candidate of {o!r}")
     obj_of_cand = cand["ocode"].to_numpy()
     nV_per_obj = np.bincount(obj_of_cand, minlength=n_obj).astype(float)
 
@@ -213,25 +231,16 @@ def _prepare(
     stats["src"] = _expand_side(
         rec, "source", stats, popularity=False, ocode=ocode
     )
-    if answers is not None and len(answers):
-        if answers.duplicated(["object", "worker"]).any():
-            raise ValueError("answers must have at most one row per (object, worker)")
+    if answers is not None:
         ans = answers.sort_values(["object", "worker"]).reset_index(drop=True)
-        for o, v in zip(ans["object"], ans["value"]):
-            if (o, v) not in cid_of:
-                raise ValueError(f"answer value {v!r} not a candidate of {o!r}")
         stats["wrk"] = _expand_side(ans, "worker", stats, popularity=True, ocode=ocode)
         stats["ans_cnt"] = np.bincount(
             np.asarray([cid_of[(o, v)] for o, v in zip(ans["object"], ans["value"])]),
             minlength=n_cand,
         ).astype(float)
-        stats["answers"] = ans
     else:
         stats["wrk"] = None
         stats["ans_cnt"] = np.zeros(n_cand)
-        stats["answers"] = None
-    stats["records"] = rec
-    stats["anc_pairs_df"] = anc_pairs
     return stats
 
 
@@ -321,7 +330,11 @@ def _package(
     psi: np.ndarray | None,
     gamma: float,
     n_iter: int,
+    mu_num: np.ndarray,
+    info: dict,
 ) -> InferenceResult:
+    """The fit's result; ``mu_num`` is :func:`_estep_sums`'s ``f`` at the
+    final parameters and ``info`` the fit's :func:`object_info`."""
     cand = p["cand"]
     mu_df = pd.DataFrame(
         {"object": cand["object"], "value": cand["value"], "mu": mu}
@@ -339,21 +352,12 @@ def _package(
         wacc = pd.DataFrame({"worker": wrk.agents, "acc": psi[:, 0]})
     gm1 = gamma - 1.0
     # Eq. (9) numerator/denominator, cached for the EAI incremental EM.
-    f_src, _ = _estep(src, phi, mu)
-    N = np.bincount(src.cand, f_src, minlength=p["n_cand"])
-    W_per_obj = np.zeros(p["n_obj"])
-    if psi is not None:
-        f_wrk, _ = _estep(p["wrk"], psi, mu)
-        N += np.bincount(p["wrk"].cand, f_wrk, minlength=p["n_cand"])
-        W_per_obj = p["wrk"].claims_per_object
-    N = N + gm1
+    W_per_obj = p["wrk"].claims_per_object if psi is not None else np.zeros(p["n_obj"])
+    N = mu_num + gm1
     D = src.claims_per_object + W_per_obj + p["nV"] * gm1
     N_df = pd.DataFrame({"object": cand["object"], "value": cand["value"], "N": N})
     D_df = pd.DataFrame({"object": p["objects"], "D": D})
-    extras = {
-        "n_iter": n_iter,
-        "object_info": object_info(p["records"], p["answers"], p["anc_pairs_df"]),
-    }
+    extras = {"n_iter": n_iter, "object_info": info}
     return InferenceResult(
         truths=truths,
         mu=mu_df,

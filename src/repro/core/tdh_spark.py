@@ -1,54 +1,44 @@
-"""TDH truth inference as an iterative Spark DataFrame job.
+"""TDH truth inference on Spark: the local engine's EM over object shards.
 
-This is the distributed-dataflow artifact of the reproduction. The model
-and update equations are exactly those of :mod:`repro.core.tdh_local`
-(and the two are asserted numerically equal in tests); the layout maps
-onto Catalyst-friendly relational operators:
-
-1. A static **expanded E-step relation** is materialized once and
-   cached: one row per (claim, conditioning candidate, relationship)
-   with columns ``(side, object, agent, claim, value, rel, coef)``.
-   ``coef`` carries the data-dependent factor of Eq. (1)–(4)
-   (``1/|G_o(v)|``, ``1/(|V_o|-|G_o(v)|-1)``, ``Pop2``, ``Pop3``); the
-   non-hierarchical collapse of Eq. (2)/(4) is encoded by *two* rows
-   (rel 1 and rel 2) for an exact match, which also yields the paper's
-   E-step split of ``g¹``/``g²`` for ``o ∉ O_H``.
-2. Each EM iteration joins that relation with the (small) parameter
-   DataFrames ``mu`` and ``phi``/``psi``, computes the posterior
-   responsibilities with two aggregations (the per-claim normalizer
-   ``Z`` and the per-candidate / per-agent sums), and collects the
-   *parameters only* (O(|candidates| + |S| + |W|) rows) back to the
-   driver — the classic "big data, small parameters" iterative pattern,
-   which also keeps lineage constant across iterations.
+TDH's EM is in summation form (Chu et al., NIPS 2006): the μ update of
+Eq. (9) is per object, and φ/ψ (Eq. 10–11) need only per-agent sums.
+So one range shuffle co-partitions records, answers and ancestor pairs
+by object into ``sc.defaultParallelism`` shards, and each shard runs
+:func:`repro.core.tdh_local._prepare` and its own ``object_info``, with
+agent codes remapped to the global sorted source and worker lists. The
+driver runs the same ``TDH._em`` loop and ``_package`` as the local
+engine on small global aggregates; each E-step is one Spark job whose
+shards return :func:`repro.core.tdh_local._estep_sums`. The driver
+collects only distinct agent names, per-shard aggregates, ``object_info``
+and those sums, never the records, answers or ancestor pairs.
 
 Task assignment is a separate job (see ``jobs/assign_tasks.py``); its
-inputs ``N_ov``/``D_o``/``U_EAI`` come from the same aggregations.
+inputs ``N_ov``/``D_o`` and ``object_info`` come from this fit.
 """
 from __future__ import annotations
 
+import os
+import pickle
+import zipfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
+from pyspark import SparkContext, SparkFiles
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import (
-    ArrayType,
-    DoubleType,
-    IntegerType,
-    StructField,
-    StructType,
-)
 
+import repro
 from repro.core.candidates import object_info
-from repro.core.result import InferenceResult, argmax_truths
+from repro.core.result import InferenceResult
+from repro.core.tdh_local import TDH, _estep_sums, _package, _prepare, _Side
 
-_PAIR = ArrayType(
-    StructType(
-        [StructField("rel", IntegerType()), StructField("coef", DoubleType())]
-    )
-)
+_COLUMNS = (["object", "source", "value"], ["object", "worker", "value"],
+            ["object", "value", "anc"])
 
 
-class TDHSpark:
+class TDHSpark(TDH):
     """TDH EM over Spark DataFrames (same priors/defaults as :class:`TDH`)."""
 
     def __init__(
@@ -60,14 +50,9 @@ class TDHSpark:
         max_iter: int = 100,
         tol: float = 1e-7,
     ):
+        super().__init__(alpha, beta, gamma, max_iter, tol)
         self.spark = spark
-        self.alpha = np.asarray(alpha, dtype=float)
-        self.beta = np.asarray(beta, dtype=float)
-        self.gamma = float(gamma)
-        self.max_iter = int(max_iter)
-        self.tol = float(tol)
 
-    # ------------------------------------------------------------------
     def fit(
         self,
         records: DataFrame,
@@ -79,316 +64,135 @@ class TDHSpark:
         ``records``: (object, source, value); ``answers``: (object,
         worker, value) or None; ``anc_pairs``: (object, value, anc).
         """
-        base, stats = self._build_base(records, answers, anc_pairs)
-        base = base.persist()
+        p = self._build_base(records, answers, anc_pairs)
         try:
-            return self._em(base, stats)
+            mu, phi, psi, n_iter = self._em(p, self._estep_job)
+            mu_num = self._estep_job(p, mu, phi, psi)[0]
+            return self._package(p, mu, phi, psi, n_iter, mu_num)
         finally:
-            base.unpersist()
+            p["shards"].unpersist()
 
-    # ------------------------------------------------------------------
-    def _build_base(
-        self,
-        records: DataFrame,
-        answers: DataFrame | None,
-        anc_pairs: DataFrame,
-    ):
-        """Materialize the expanded E-step relation + static statistics."""
-        cand = records.select("object", "value").distinct()
-        nv = cand.groupBy("object").agg(F.count("*").cast("double").alias("nV"))
-        ng = anc_pairs.groupBy("object", "value").agg(
-            F.count("*").cast("double").alias("nG")
-        )
-        oh = anc_pairs.select("object").distinct().withColumn("oh", F.lit(True))
-        cnt = records.groupBy("object", "value").agg(
-            F.count("*").cast("double").alias("cnt")
-        )
-        genc = (
-            anc_pairs.join(
-                cnt.withColumnRenamed("value", "anc").withColumnRenamed(
-                    "cnt", "anc_cnt"
-                ),
-                ["object", "anc"],
-            )
-            .groupBy("object", "value")
-            .agg(F.sum("anc_cnt").alias("gen_cnt"))
-        )
-        s_per_obj = records.groupBy("object").agg(
-            F.count("*").cast("double").alias("S")
-        )
-        # candidate-side static stats attached to each conditioning value v
-        cand_stats = (
-            cand.join(nv, "object")
-            .join(ng, ["object", "value"], "left")
-            .join(genc, ["object", "value"], "left")
-            .join(oh, "object", "left")
-            .join(s_per_obj, "object")
-            .fillna({"nG": 0.0, "gen_cnt": 0.0, "oh": False})
-        )
-        is_anc = anc_pairs.select(
-            "object",
-            F.col("value").alias("value"),  # v (descendant, the conditioning truth)
-            F.col("anc").alias("claim"),  # claimed value ∈ G_o(v)
-        ).withColumn("is_anc", F.lit(True))
-        claim_cnt = cnt.select(
-            "object",
-            F.col("value").alias("claim"),
-            F.col("cnt").alias("claim_cnt"),
-        )
-
-        def expand(claims: DataFrame, agent_col: str, side: str) -> DataFrame:
-            exp = (
-                claims.select(
-                    "object",
-                    F.col(agent_col).alias("agent"),
-                    F.col("value").alias("claim"),
-                )
-                .join(cand_stats.withColumnRenamed("value", "value"), "object")
-                .join(is_anc, ["object", "value", "claim"], "left")
-                .join(claim_cnt, ["object", "claim"], "left")
-                .fillna({"is_anc": False, "claim_cnt": 0.0})
-            )
-            eq = F.col("claim") == F.col("value")
-            if side == "s":  # Eq. (1)/(2): uniform ancestor / uniform wrong
-                c2 = 1.0 / F.col("nG")
-                c3_oh = 1.0 / (F.col("nV") - F.col("nG") - 1.0)
-                c3_flat = 1.0 / (F.col("nV") - 1.0)
-            else:  # Eq. (3)/(4): popularity-weighted Pop2 / Pop3
-                c2 = F.col("claim_cnt") / F.col("gen_cnt")
-                c3_oh = F.col("claim_cnt") / (
-                    F.col("S") - F.col("cnt_v") - F.col("gen_cnt")
-                )
-                c3_flat = F.col("claim_cnt") / (F.col("S") - F.col("cnt_v"))
-            if side == "w":
-                exp = exp.join(
-                    cnt.withColumnRenamed("cnt", "cnt_v"), ["object", "value"]
-                )
-            guard = lambda c: F.when(c > 0, c).otherwise(F.lit(0.0))  # noqa: E731
-            pairs = (
-                F.when(
-                    eq & F.col("oh"),
-                    F.array(F.struct(F.lit(1).alias("rel"), F.lit(1.0).alias("coef"))),
-                )
-                .when(
-                    eq,  # o ∉ O_H: exact match carries phi1 + phi2
-                    F.array(
-                        F.struct(F.lit(1).alias("rel"), F.lit(1.0).alias("coef")),
-                        F.struct(F.lit(2).alias("rel"), F.lit(1.0).alias("coef")),
-                    ),
-                )
-                .when(
-                    F.col("is_anc"),
-                    F.array(
-                        F.struct(F.lit(2).alias("rel"), guard(c2).alias("coef"))
-                    ),
-                )
-                .when(
-                    F.col("oh"),
-                    F.array(
-                        F.struct(F.lit(3).alias("rel"), guard(c3_oh).alias("coef"))
-                    ),
-                )
-                .otherwise(
-                    F.array(
-                        F.struct(F.lit(3).alias("rel"), guard(c3_flat).alias("coef"))
-                    )
-                )
-            )
-            return (
-                exp.withColumn("pair", F.explode(pairs.cast(_PAIR)))
-                .select(
-                    F.lit(side).alias("side"),
-                    "object",
-                    "agent",
-                    "claim",
-                    "value",
-                    F.col("pair.rel").alias("rel"),
-                    F.col("pair.coef").alias("coef"),
-                )
-            )
-
-        base = expand(records, "source", "s")
+    def _build_base(self, records, answers, anc_pairs) -> dict:
+        """Shard the problem by object; return the driver's global ``p``."""
+        sc = self.spark.sparkContext
+        _ship_repro(sc)
+        sources = _distinct(records, "source")
+        workers = _distinct(answers, "worker") if answers is not None else []
+        agent = F.col("source").alias("agent")
+        tagged = records.select("object", F.lit(0).alias("tag"), agent, "value")
         if answers is not None:
-            base = base.unionByName(expand(answers, "worker", "w"))
-        # small driver-side statics for M-step denominators & packaging
-        cand_pdf = cand.toPandas().sort_values(["object", "value"]).reset_index(drop=True)
-        stats = {
-            "cand": cand_pdf,
-            "nV": nv.toPandas(),
-            "S": s_per_obj.toPandas(),
-            "records_pdf": records.toPandas(),
-            "answers_pdf": answers.toPandas() if answers is not None else None,
-            "anc_pdf": anc_pairs.toPandas(),
-        }
-        return base, stats
-
-    # ------------------------------------------------------------------
-    def _em(self, base: DataFrame, stats: dict) -> InferenceResult:
-        spark = self.spark
-        cand = stats["cand"]
-        objects = sorted(cand["object"].unique())
-        nV = stats["nV"].set_index("object")["nV"]
-        S = stats["S"].set_index("object")["S"]
-        recs = stats["records_pdf"]
-        ans = stats["answers_pdf"]
-        sources = sorted(recs["source"].unique())
-        workers = sorted(ans["worker"].unique()) if ans is not None else []
-        nO_s = recs.groupby("source").size()
-        nO_w = ans.groupby("worker").size() if ans is not None else pd.Series(dtype=int)
-        W_per_obj = (
-            ans.groupby("object").size() if ans is not None else pd.Series(dtype=int)
-        )
-        gm1 = self.gamma - 1.0
-        a_sum = self.alpha.sum() - 3.0
-        b_sum = self.beta.sum() - 3.0
-
-        # init mu from smoothed claim counts (same as the local engine)
-        counts = (
-            recs.groupby(["object", "value"]).size().rename("n").reset_index()
-        )
-        if ans is not None:
-            counts = (
-                pd.concat(
-                    [counts, ans.groupby(["object", "value"]).size().rename("n").reset_index()]
-                )
-                .groupby(["object", "value"])["n"]
-                .sum()
-                .reset_index()
+            agent = F.col("worker").alias("agent")
+            ans = answers.select("object", F.lit(1).alias("tag"), agent, "value")
+            tagged = tagged.unionByName(ans)
+        anc = anc_pairs.select("object", F.lit(2).alias("tag"), "value", "anc")
+        shards = (
+            tagged.unionByName(anc, allowMissingColumns=True)
+            .repartitionByRange(sc.defaultParallelism, "object")
+            .rdd.mapPartitionsWithIndex(
+                lambda i, rows: _build_shard(i, rows, sources, workers)
             )
-        mu_pdf = cand.merge(counts, on=["object", "value"], how="left").fillna({"n": 0})
-        mu_pdf["mu"] = mu_pdf["n"] + gm1
-        mu_pdf["mu"] /= mu_pdf.groupby("object")["mu"].transform("sum")
-        mu_pdf = mu_pdf[["object", "value", "mu"]]
-        phi = pd.DataFrame(
-            np.tile(self.alpha / self.alpha.sum(), (len(sources), 1)),
-            columns=["p1", "p2", "p3"],
+            .cache()
         )
-        phi.insert(0, "agent", sources)
-        psi = pd.DataFrame(
-            np.tile(self.beta / self.beta.sum(), (len(workers), 1)),
-            columns=["p1", "p2", "p3"],
-        )
-        psi.insert(0, "agent", workers)
-
-        mu_den = pd.Series(
-            [
-                S[o] + float(W_per_obj.get(o, 0.0)) + nV[o] * gm1
-                for o in objects
-            ],
-            index=objects,
-        )
-
-        def param_long() -> pd.DataFrame:
-            rows = []
-            for side, frame in (("s", phi), ("w", psi)):
-                for _, r in frame.iterrows():
-                    for t in (1, 2, 3):
-                        rows.append((side, r["agent"], t, float(r[f"p{t}"])))
-            return pd.DataFrame(rows, columns=["side", "agent", "rel", "p"])
-
-        n_iter = 0
-        mu_sums = phi_sums = None
-        for n_iter in range(1, self.max_iter + 1):
-            mu_sums, phi_sums = self._estep_job(base, mu_pdf, param_long())
-            # -- M-step on the driver (parameters are small) -----------
-            new_mu = cand.merge(mu_sums, on=["object", "value"], how="left").fillna(
-                {"f": 0.0}
-            )
-            new_mu["mu"] = (new_mu["f"] + gm1) / new_mu["object"].map(mu_den)
-            new_mu = new_mu[["object", "value", "mu"]]
-            phi = self._update_trust(
-                phi_sums, "s", sources, nO_s, self.alpha, a_sum
-            )
-            if workers:
-                psi = self._update_trust(
-                    phi_sums, "w", workers, nO_w, self.beta, b_sum
-                )
-            merged = mu_pdf.merge(new_mu, on=["object", "value"], suffixes=("", "_new"))
-            delta = float((merged["mu"] - merged["mu_new"]).abs().max())
-            mu_pdf = new_mu
-            if delta < self.tol:
-                break
-        # final E-step pass at the converged parameters → Eq. (9) N/D
-        mu_sums, _ = self._estep_job(base, mu_pdf, param_long())
-        N_pdf = cand.merge(mu_sums, on=["object", "value"], how="left").fillna(
-            {"f": 0.0}
-        )
-        N_pdf["N"] = N_pdf["f"] + gm1
-        return self._package(
-            mu_pdf, phi, psi if workers else None, N_pdf, mu_den, stats, n_iter
-        )
-
-    def _estep_job(self, base: DataFrame, mu_pdf: pd.DataFrame, params: pd.DataFrame):
-        """One distributed E-step: responsibilities + the two M-step sums."""
-        spark = self.spark
-        mu_df = spark.createDataFrame(mu_pdf)
-        p_df = spark.createDataFrame(params)
-        j = (
-            base.join(p_df, ["side", "agent", "rel"])
-            .join(mu_df, ["object", "value"])
-            .withColumn("w", F.col("p") * F.col("coef") * F.col("mu"))
-        )
-        z = j.groupBy("side", "object", "agent").agg(F.sum("w").alias("z"))
-        f = j.join(z, ["side", "object", "agent"]).withColumn(
-            "f", F.col("w") / F.col("z")
-        )
-        f = f.persist()
-        try:
-            mu_sums = (
-                f.groupBy("object", "value")
-                .agg(F.sum("f").alias("f"))
-                .toPandas()
-            )
-            g_sums = (
-                f.groupBy("side", "agent", "rel")
-                .agg(F.sum("f").alias("g"))
-                .toPandas()
-            )
-        finally:
-            f.unpersist()
-        return mu_sums, g_sums
-
-    @staticmethod
-    def _update_trust(g_sums, side, agents, nO, prior, prior_sum) -> pd.DataFrame:
-        g = g_sums[g_sums["side"] == side]
-        piv = (
-            g.pivot_table(index="agent", columns="rel", values="g", fill_value=0.0)
-            .reindex(agents, fill_value=0.0)
-            .reindex(columns=[1, 2, 3], fill_value=0.0)
-        )
-        arr = piv.to_numpy() + (prior - 1.0)
-        den = np.asarray([float(nO[a]) for a in agents]) + prior_sum
-        arr = arr / den[:, None]
-        out = pd.DataFrame(arr, columns=["p1", "p2", "p3"])
-        out.insert(0, "agent", agents)
-        return out
-
-    def _package(self, mu_pdf, phi, psi, N_pdf, mu_den, stats, n_iter):
-        truths = argmax_truths(mu_pdf)
-        phi_df = phi.rename(
-            columns={"agent": "source", "p1": "phi1", "p2": "phi2", "p3": "phi3"}
-        )
-        psi_df = None
-        wacc = None
-        if psi is not None:
-            psi_df = psi.rename(
-                columns={"agent": "worker", "p1": "psi1", "p2": "psi2", "p3": "psi3"}
-            )
-            wacc = psi_df[["worker"]].assign(acc=psi_df["psi1"].to_numpy())
-        D_df = mu_den.rename("D").rename_axis("object").reset_index()
-        extras = {
-            "n_iter": n_iter,
-            "object_info": object_info(
-                stats["records_pdf"], stats["answers_pdf"], stats["anc_pdf"]
+        aggs = [pickle.loads(b) for b in shards.map(lambda s: s[2]).collect()]
+        cat = lambda key: np.concatenate([a[key] for a in aggs])  # noqa: E731
+        names = lambda key: [x for a in aggs for x in a[key]]  # noqa: E731
+        nV, cnt = cat("nV"), cat("cnt")
+        ends = np.cumsum([len(a["cnt"]) for a in aggs])
+        p = {
+            "n_obj": len(nV),
+            "n_cand": len(cnt),
+            "objects": names("objects"),
+            "cand": pd.DataFrame(
+                {"object": names("cand_object"), "value": names("cand_value")}
             ),
+            "obj_of_cand": np.repeat(np.arange(len(nV)), nV.astype(int)),
+            "nV": nV,
+            "cnt": cnt,
+            "ans_cnt": cat("ans_cnt"),
+            "object_info": {o: i for a in aggs for o, i in a["object_info"].items()},
+            "shards": shards,
+            "bounds": {a["shard"]: (e - len(a["cnt"]), e) for a, e in zip(aggs, ends)},
         }
-        return InferenceResult(
-            truths=truths,
-            mu=mu_pdf.sort_values(["object", "value"]).reset_index(drop=True),
-            phi=phi_df,
-            psi=psi_df,
-            N=N_pdf[["object", "value", "N"]],
-            D=D_df,
-            worker_accuracy=wacc,
-            extras=extras,
+        p["src"] = _driver_side(sources, "src", aggs)
+        p["wrk"] = _driver_side(workers, "wrk", aggs) if workers else None
+        return p
+
+    def _estep_job(self, p: dict, mu: np.ndarray, phi: np.ndarray, psi):
+        """One E-step as one Spark job: each shard's ``_estep_sums``, joined."""
+        bounds = p["bounds"]
+        parts = (
+            p["shards"]
+            .map(lambda s: _estep_sums(s[1], mu[slice(*bounds[s[0]])], phi, psi))
+            .collect()
         )
+        n_wrk = p["wrk"].n_agents if p["wrk"] is not None else 0
+        g_wrk = sum((g for _, _, g in parts if g is not None), np.zeros((n_wrk, 3)))
+        mu_num = np.concatenate([m for m, _, _ in parts])
+        return mu_num, sum(g for _, g, _ in parts), g_wrk
+
+    def _package(self, p, mu, phi, psi, n_iter, mu_num) -> InferenceResult:
+        return _package(p, mu, phi, psi, self.gamma, n_iter, mu_num, p["object_info"])
+
+
+def _distinct(df: DataFrame, col: str) -> list:
+    return sorted(r[0] for r in df.select(col).distinct().collect())
+
+
+def _driver_side(agents: list, key: str, aggs: list[dict]) -> _Side:
+    """The driver's view of a side: claim totals per agent and per object.
+
+    Its expanded rows stay on the shards, so the row arrays are empty.
+    """
+    per_agent = sum(a[f"{key}_per_agent"] for a in aggs)
+    per_object = np.concatenate([a[f"{key}_per_obj"] for a in aggs])
+    none = np.zeros(0, dtype=int)
+    return _Side(none, none, none, none, np.zeros(0), int(per_agent.sum()),
+                 len(agents), per_agent, per_object, agents)
+
+
+def _build_shard(shard: int, rows, sources: list, workers: list):
+    """Executor side: ``_prepare`` one shard on global agent codes."""
+    claims = ([], [], [])
+    for o, tag, agent, value, anc in rows:
+        claims[tag].append((o, agent, value) if tag < 2 else (o, value, anc))
+    if not any(claims):
+        return
+    rec, ans, anc = (pd.DataFrame(c, columns=k) for c, k in zip(claims, _COLUMNS))
+    p = _prepare(rec, ans, anc)
+    agg = {k: p[k] for k in ("objects", "nV", "cnt", "ans_cnt")}
+    agg["shard"] = shard
+    agg["cand_object"] = list(p["cand"]["object"])
+    agg["cand_value"] = list(p["cand"]["value"])
+    for key, names in (("src", sources), ("wrk", workers)):
+        side = p[key]
+        per_obj, per_agent = np.zeros(p["n_obj"]), np.zeros(len(names))
+        if side is not None:
+            code = {a: i for i, a in enumerate(names)}
+            glob = np.asarray([code[a] for a in side.agents], dtype=int)
+            per_obj = side.claims_per_object
+            per_agent[glob] = side.claims_per_agent
+            p[key] = replace(side, agent=glob[side.agent], n_agents=len(names),
+                             claims_per_agent=per_agent, agents=names)
+        agg[f"{key}_per_obj"], agg[f"{key}_per_agent"] = per_obj, per_agent
+    agg["object_info"] = object_info(rec, ans, anc)
+    # Kept pickled in the cache, so the E-step jobs do not unpickle it again.
+    slim = {"src": p["src"], "wrk": p["wrk"], "n_cand": p["n_cand"]}
+    yield shard, slim, pickle.dumps(agg)
+
+
+def _ship_repro(sc: SparkContext) -> None:
+    """Make ``repro`` importable in Python workers, once per SparkContext.
+
+    ``repro`` is not installed, so workers see it only as a shipped zip.
+    The zip lives under the context's own file root, which Spark deletes
+    when the context stops.
+    """
+    out = Path(SparkFiles.getRootDirectory()) / "repro-pkg" / "repro.zip"
+    if out.exists():
+        return
+    out.parent.mkdir(parents=True, exist_ok=True)
+    pkg = Path(repro.__file__).parent
+    with zipfile.ZipFile(out, "w") as z:
+        for f in sorted(pkg.rglob("*.py")):
+            z.write(f, f.relative_to(pkg.parent))
+    sc.addPyFile(os.fspath(out))

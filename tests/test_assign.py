@@ -5,7 +5,6 @@ import pytest
 
 from repro.assign.common import (
     AssignContext,
-    answer_likelihood,
     onecoin_likelihood_matrix,
     tdh_likelihood_matrix,
 )
@@ -66,16 +65,6 @@ class TestLikelihoodMatrices:
         direct = tdh_likelihood_matrix(info, psi)
         B1, B2, B3 = ctx.likelihood_basis(o)
         assert np.allclose(direct, psi[0] * B1 + psi[1] * B2 + psi[2] * B3)
-
-    def test_answer_likelihood_tdh_path(self, tdh_result):
-        ctx = make_ctx(tdh_result)
-        values, A = answer_likelihood(ctx, "w0", ctx.objects[0])
-        assert A.shape == (len(values), len(values))
-
-    def test_answer_likelihood_onecoin_path(self, ds):
-        ctx = make_ctx(vote(ds.records))
-        values, A = answer_likelihood(ctx, "w0", ctx.objects[0])
-        assert np.allclose(np.diag(A), ctx.worker_acc("w0")) or len(values) == 1
 
 
 class TestEAI:
@@ -188,7 +177,10 @@ class TestQASCA:
     def test_works_with_onecoin_models(self, ds):
         from repro.baselines.lca import lca
 
-        out = qasca_assign(make_ctx(lca(ds.records), k=3))
+        ctx = make_ctx(lca(ds.records), k=3)
+        A = onecoin_likelihood_matrix(3, ctx.worker_acc("w0"))
+        assert np.allclose(np.diag(A), ctx.worker_acc("w0"))
+        out = qasca_assign(ctx)
         assert all(len(v) <= 3 for v in out.values())
 
 

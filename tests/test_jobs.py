@@ -1,6 +1,9 @@
 """The job entrypoints must at least import and expose a main()."""
 import importlib.util
+import os
 import pathlib
+import re
+import subprocess
 import sys
 
 import pytest
@@ -27,3 +30,19 @@ def _load(name: str):
 def test_job_importable_with_main(name):
     mod = _load(name)
     assert callable(mod.main)
+
+
+def test_run_tdh_without_pythonpath():
+    """A Spark job whose Python workers only see ``repro`` if the engine ships it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, str(JOBS / "run_tdh.py"), "--sf", "0.01"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert out.returncode == 0, out.stderr[-3000:]
+    (line,) = [ln for ln in out.stdout.splitlines() if ln.startswith("[tdh] ")]
+    accuracy = float(re.search(r" accuracy=([0-9.]+)", line).group(1))
+    assert 0.5 < accuracy <= 1.0, line

@@ -1,4 +1,6 @@
 """Spark TDH engine: equivalence with the reference engine + oracle checks."""
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -80,59 +82,55 @@ class TestSparkLocalEquivalence:
         assert (t["value_l"] == t["value_s"]).all()
 
 
-class TestSparkAggregationsOracle:
-    """DuckDB oracle checks for the Spark aggregations TDH builds on."""
+@pytest.fixture(scope="module")
+def spark_info(spark, problem):
+    """The flattened ``object_info`` of a TDHSpark fit: one row per candidate."""
+    ds, _, anc, _ = problem
+    res = TDHSpark(spark, max_iter=1).fit(
+        spark.createDataFrame(ds.records), None, spark.createDataFrame(anc)
+    )
+    rows = [
+        (o, v, i["cnt"][k], i["gen_cnt"][k], i["S"], any(d == k for d, _ in i["anc"]))
+        for o, i in res.extras["object_info"].items()
+        for k, v in enumerate(i["values"])
+    ]
+    return pd.DataFrame(rows, columns=["object", "value", "n", "gen_cnt", "s_o", "has_anc"])
 
-    def test_candidate_sets(self, spark, problem):
+
+class TestSparkAggregationsOracle:
+    """DuckDB oracle checks of the static statistics a TDHSpark fit builds."""
+
+    def test_candidate_sets(self, spark_info, problem):
         ds, *_ = problem
-        rec = spark.createDataFrame(ds.records)
-        got = rec.select("object", "value").distinct()
         assert_equivalent(
-            got,
+            spark_info[["object", "value"]],
             "SELECT DISTINCT object, value FROM records",
             records=ds.records,
         )
 
-    def test_claim_counts(self, spark, problem):
+    def test_claim_counts(self, spark_info, problem):
         ds, *_ = problem
-        rec = spark.createDataFrame(ds.records)
-        got = rec.groupBy("object", "value").count().withColumnRenamed("count", "n")
         assert_equivalent(
-            got,
+            spark_info[["object", "value", "n"]],
             "SELECT object, value, COUNT(*) AS n FROM records GROUP BY object, value",
             records=ds.records,
         )
 
-    def test_sources_per_object(self, spark, problem):
+    def test_sources_per_object(self, spark_info, problem):
         ds, *_ = problem
-        rec = spark.createDataFrame(ds.records)
-        got = rec.groupBy("object").count().withColumnRenamed("count", "s_o")
         assert_equivalent(
-            got,
+            spark_info[["object", "s_o"]].drop_duplicates(),
             "SELECT object, COUNT(*) AS s_o FROM records GROUP BY object",
             records=ds.records,
         )
 
-    def test_gen_cnt_join(self, spark, problem):
+    def test_gen_cnt_join(self, spark_info, problem):
         """The Pop2 denominator: sum of ancestor claim counts per candidate."""
         ds, cand, anc, _ = problem
         if not len(anc):
             pytest.skip("no ancestor pairs at this scale")
-        rec = spark.createDataFrame(ds.records)
-        anc_df = spark.createDataFrame(anc)
-        from pyspark.sql import functions as F
-
-        cnt = rec.groupBy("object", "value").agg(F.count("*").alias("cnt"))
-        got = (
-            anc_df.join(
-                cnt.withColumnRenamed("value", "anc").withColumnRenamed("cnt", "anc_cnt"),
-                ["object", "anc"],
-            )
-            .groupBy("object", "value")
-            .agg(F.sum("anc_cnt").alias("gen_cnt"))
-        )
         assert_equivalent(
-            got,
+            spark_info.loc[spark_info["has_anc"], ["object", "value", "gen_cnt"]],
             """
             SELECT a.object, a.value, SUM(c.cnt) AS gen_cnt
             FROM anc a
@@ -143,6 +141,65 @@ class TestSparkAggregationsOracle:
             records=ds.records,
             anc=anc,
         )
+
+
+def _tiny(case: str):
+    """A two-object problem (``o2`` has a single candidate) with one fault."""
+    rec = [("o1", "s1", "NY"), ("o1", "s2", "USA"), ("o1", "s3", "NY"), ("o2", "s1", "LA")]
+    ans = [("o1", "w1", "NY"), ("o2", "w1", "LA"), ("o1", "w2", "USA")]
+    anc = [("o1", "NY", "USA")]
+    if case == "duplicate record":
+        rec.append(("o1", "s1", "USA"))
+    elif case == "duplicate answer":
+        ans.append(("o1", "w1", "USA"))
+    elif case == "non-candidate answer":
+        ans.append(("o2", "w2", "SF"))
+    elif case == "ancestor outside candidates":
+        anc.append(("o1", "NY", "Earth"))
+    elif case == "empty answers":
+        ans = []
+    return (
+        pd.DataFrame(rec, columns=["object", "source", "value"]),
+        pd.DataFrame(ans, columns=["object", "worker", "value"]),
+        pd.DataFrame(anc, columns=["object", "value", "anc"]),
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "duplicate record",
+        "duplicate answer",
+        "non-candidate answer",
+        "ancestor outside candidates",
+        "empty answers",
+        "valid",
+    ],
+)
+def test_engines_agree_on_edge_inputs(spark, case):
+    """Both engines reject the same bad inputs with ``_prepare``'s message,
+    and agree on an empty answers frame and a single-candidate object."""
+    rec, ans, anc = _tiny(case)
+    sp_ans = spark.createDataFrame(ans, "object string, worker string, value string")
+    fit_spark = lambda: TDHSpark(spark, max_iter=5).fit(  # noqa: E731
+        spark.createDataFrame(rec), sp_ans, spark.createDataFrame(anc)
+    )
+    try:
+        loc = TDH(max_iter=5).fit(rec, ans, anc)
+    except ValueError as e:
+        with pytest.raises(Exception, match=re.escape(str(e))):
+            fit_spark()
+        return
+    assert case in ("empty answers", "valid")
+    sp = fit_spark()
+    if case == "empty answers":
+        assert sp.psi is None
+        none = TDH(max_iter=5).fit(rec, None, anc)
+        assert np.array_equal(loc.mu["mu"].to_numpy(), none.mu["mu"].to_numpy())
+    m = loc.mu.merge(sp.mu, on=["object", "value"], suffixes=("_l", "_s"))
+    assert len(m) == len(loc.mu) == len(sp.mu) == 3
+    assert float((m["mu_l"] - m["mu_s"]).abs().max()) < 1e-9
+    assert sp.mu.loc[sp.mu["object"] == "o2", "mu"].tolist() == [1.0]
 
 
 class TestVoteSparkOracle:
