@@ -51,16 +51,20 @@ class AssignContext:
                     self.result.worker_accuracy["acc"].astype(float),
                 )
             )
+        self._psi_prior = np.asarray(
+            self.result.extras.get("psi_prior_mean", (1 / 3, 1 / 3, 1 / 3)), dtype=float
+        )
         self._basis_cache: dict[str, tuple] = {}
         self._mu_vec_cache: dict[str, tuple[list[str], np.ndarray]] = {}
+        self._eai = None  # repro.assign.eai's per-round cache
 
     @property
     def objects(self) -> list[str]:
         return sorted(self.mu_map)
 
     def worker_psi(self, w: str) -> np.ndarray:
-        """TDH trustworthiness of ``w`` (beta prior mean if unseen)."""
-        return self._psi_cache.get(w, np.asarray([1 / 3, 1 / 3, 1 / 3]))
+        """TDH trustworthiness of ``w`` (the fit's beta prior mean if unseen)."""
+        return self._psi_cache.get(w, self._psi_prior)
 
     def worker_acc(self, w: str, default: float = 0.7) -> float:
         """Scalar worker accuracy for one-coin worker models."""

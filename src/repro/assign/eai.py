@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,53 +26,81 @@ from repro.assign.common import AssignContext, mu_vector
 
 
 def eai_quality(ctx: AssignContext, w: str, o: str) -> float:
-    """EAI(w, o) per Eq. (14)–(18)."""
-    info = ctx.object_info[o]
-    values = info["values"]
-    K = len(values)
-    mu = mu_vector(ctx, o, values)
-    if K == 1:
-        return 0.0
-    n_map = ctx.result.extras["_N_map"]
-    d_map = ctx.result.extras["_D_map"]
-    N = np.asarray([n_map[(o, v)] for v in values])
-    D = float(d_map[o])
-    psi = ctx.worker_psi(w)
-    B1, B2, B3 = ctx.likelihood_basis(o)
-    A = psi[0] * B1 + psi[1] * B2 + psi[2] * B3
-    pv = A @ mu  # P(v_o^w = v' | psi_w, mu_o), Eq. (6)
-    pv_safe = np.where(pv > 0, pv, 1.0)
-    F = A * mu[None, :] / pv_safe[:, None]  # f^v_{o,w|v'} of Eq. (16)
-    mu_cond = (N[None, :] + F) / (D + 1.0)  # Eq. (18)
-    e_max = float(pv @ mu_cond.max(axis=1))  # Eq. (15)
-    n_obj = len(ctx.mu_map)
-    return (e_max - float(mu.max())) / n_obj
+    """EAI(w, o) per Eq. (14)–(18); ``w`` is one of ``ctx.workers``."""
+    return _eai_row(ctx, o)[w]
 
 
 def u_eai(ctx: AssignContext, o: str) -> float:
     """Lemma 4.1 upper bound."""
     mu = ctx.mu_map[o]
-    d_map = ctx.result.extras["_D_map"]
     n_obj = len(ctx.mu_map)
-    return (1.0 - max(mu.values())) / (n_obj * (float(d_map[o]) + 1.0))
+    return (1.0 - max(mu.values())) / (n_obj * (_state(ctx).D[o] + 1.0))
 
 
-def _ensure_nd_maps(ctx: AssignContext) -> None:
-    if "_N_map" in ctx.result.extras:
-        return
-    N, D = ctx.result.N, ctx.result.D
-    if N is None or D is None:
-        raise ValueError("EAI requires a TDH result with N/D tables")
-    ctx.result.extras["_N_map"] = {
-        (o, v): float(n) for o, v, n in N[["object", "value", "N"]].itertuples(index=False)
-    }
-    ctx.result.extras["_D_map"] = dict(zip(D["object"], D["D"].astype(float)))
+@dataclass
+class _EAIState:
+    """One round's EAI inputs and results, cached on the context."""
+
+    N: dict[str, np.ndarray]  # N_ov aligned to object_info[o]["values"]
+    D: dict[str, float]  # D_o
+    psi: np.ndarray  # (W, 3): worker_psi of each of ctx.workers
+    rows: dict[str, dict[str, float]] = field(default_factory=dict)  # o -> {w: EAI}
+
+
+def _state(ctx: AssignContext) -> _EAIState:
+    if ctx._eai is None:
+        N, D = ctx.result.N, ctx.result.D
+        if N is None or D is None:
+            raise ValueError("EAI requires a TDH result with N/D tables")
+        N = N.sort_values(["object", "value"])
+        obj = N["object"].to_numpy()
+        start = np.flatnonzero(np.r_[True, obj[1:] != obj[:-1]])
+        ctx._eai = _EAIState(
+            N=dict(zip(obj[start], np.split(N["N"].to_numpy(float), start[1:]))),
+            D=dict(zip(D["object"], D["D"].astype(float).tolist())),
+            psi=np.asarray([ctx.worker_psi(w) for w in ctx.workers]).reshape(-1, 3),
+        )
+    return ctx._eai
+
+
+def _eai_row(ctx: AssignContext, o: str) -> dict[str, float]:
+    """EAI(w, o) for every worker of the context, computed once per object."""
+    rows = _state(ctx).rows
+    if o not in rows:
+        mu = mu_vector(ctx, o, ctx.object_info[o]["values"])
+        if len(mu) == 1:
+            q = np.zeros(len(ctx.workers))
+        else:
+            pv, mu_cond = incremental_em(ctx, o)
+            # Eq. (15): E[max_v mu_cond] over the answer distribution pv;
+            # matmul runs one BLAS dot per worker, as a per-pair `pv @ m` does
+            e_max = (pv[:, None, :] @ mu_cond.max(axis=2)[:, :, None])[:, 0, 0]
+            q = (e_max - mu.max()) / len(ctx.mu_map)
+        rows[o] = dict(zip(ctx.workers, q.tolist()))
+    return rows[o]
+
+
+def incremental_em(ctx: AssignContext, o: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eq. (16)–(18) for every worker ``w`` of the context at once.
+
+    Returns ``pv[w, v']`` = P(v_o^w = v' | psi_w, mu_o) (Eq. 6) and
+    ``mu_cond[w, v', v]``, the confidence of ``v`` after one incremental
+    EM step from the cached ``N_ov``/``D_o`` with the answer ``v'``.
+    """
+    st = _state(ctx)
+    mu = mu_vector(ctx, o, ctx.object_info[o]["values"])
+    psi = st.psi[:, :, None, None]
+    B1, B2, B3 = ctx.likelihood_basis(o)
+    A = psi[:, 0] * B1 + psi[:, 1] * B2 + psi[:, 2] * B3  # (W, K', K)
+    pv = A @ mu
+    pv_safe = np.where(pv > 0, pv, 1.0)
+    F = A * mu / pv_safe[:, :, None]  # f^v_{o,w|v'} of Eq. (16)
+    return pv, (st.N[o] + F) / (st.D[o] + 1.0)  # Eq. (18)
 
 
 def eai_assign(ctx: AssignContext, *, use_pruning: bool = True) -> dict[str, list[str]]:
     """Algorithm 1 (with the Lemma 4.1 pruning; disable to measure its
     benefit, cf. Figure 13)."""
-    _ensure_nd_maps(ctx)
     workers = sorted(ctx.workers, key=lambda w: -ctx.worker_psi(w)[0])
     # max-heap of (-U, o); tie-break by object id for determinism
     ub = {o: u_eai(ctx, o) for o in ctx.objects}

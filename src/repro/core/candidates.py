@@ -10,6 +10,7 @@ relation ``(object, value, anc)`` produced here — either from a
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 
 from repro.hierarchy import Hierarchy
@@ -57,11 +58,57 @@ def numeric_ancestor_pairs_df(candidates: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(rows, columns=["object", "value", "anc"])
 
 
-def object_info(
-    records: pd.DataFrame,
-    answers: pd.DataFrame | None,
-    anc_pairs: pd.DataFrame,
-) -> dict[str, dict]:
+def candidate_codes(index: pd.MultiIndex, objects, values) -> np.ndarray:
+    """Position of each (object, value) pair in ``index``, the candidates'
+    (object, value) rows; -1 where the pair is not a candidate."""
+    return index.get_indexer(pd.MultiIndex.from_arrays([objects, values]))
+
+
+def candidate_stats(records: pd.DataFrame, anc_pairs: pd.DataFrame) -> dict:
+    """Integer-coded candidates and the popularity statistics of Eq. (1)–(4).
+
+    Candidate ids are the rows of :func:`candidate_sets`, so each object's
+    candidates are one contiguous id range. Ancestor pairs become the
+    sorted unique keys ``anc_key = desc_id * n_cand + anc_id``; a pair
+    whose endpoints are not candidates of its object is rejected.
+    """
+    cand = candidate_sets(records)
+    index = pd.MultiIndex.from_frame(cand)
+    obj_of_cand, objects = pd.factorize(cand["object"])  # cand is sorted
+    n_obj, n_cand = len(objects), len(cand)
+    anc_key = np.zeros(0, dtype=int)
+    if len(anc_pairs):
+        d = candidate_codes(index, anc_pairs["object"], anc_pairs["value"])
+        a = candidate_codes(index, anc_pairs["object"], anc_pairs["anc"])
+        bad = (d < 0) | (a < 0)
+        if bad.any():
+            o, v, an = anc_pairs[["object", "value", "anc"]].to_numpy()[bad.argmax()]
+            raise ValueError(f"ancestor pair ({o},{v},{an}) not in candidate set")
+        anc_key = np.unique(d * n_cand + a)
+    anc_d, anc_a = np.divmod(anc_key, n_cand)
+    rec_cid = candidate_codes(index, records["object"], records["value"])
+    cnt = np.bincount(rec_cid, minlength=n_cand).astype(float)
+    oh = np.zeros(n_obj, dtype=bool)
+    oh[obj_of_cand[anc_d]] = True
+    return {
+        "n_obj": n_obj,
+        "n_cand": n_cand,
+        "objects": list(objects),
+        "cand": cand,
+        "cand_index": index,
+        "obj_of_cand": obj_of_cand,
+        "rec_cid": rec_cid,  # candidate id of each record, in input order
+        "anc_key": anc_key,
+        "nV": np.bincount(obj_of_cand, minlength=n_obj).astype(float),
+        "nG": np.bincount(anc_d, minlength=n_cand).astype(float),
+        "oh": oh,
+        "cnt": cnt,
+        "gen_cnt": np.bincount(anc_d, cnt[anc_a], minlength=n_cand),
+        "S_per_obj": np.bincount(obj_of_cand[rec_cid], minlength=n_obj).astype(float),
+    }
+
+
+def object_info(records: pd.DataFrame, anc_pairs: pd.DataFrame) -> dict[str, dict]:
     """Per-object candidate structure used by the task assigners.
 
     Maps object → dict with:
@@ -70,41 +117,30 @@ def object_info(
     * ``anc``: set of (desc_idx, anc_idx) pairs within the candidates,
     * ``cnt``: per-candidate source-claim counts (Pop numerators),
     * ``gen_cnt``: sum of ``cnt`` over each candidate's ancestors,
-    * ``S``: |S_o|, ``oh``: whether o ∈ O_H,
-    * ``answered_by``: set of workers who already answered ``o``.
+    * ``S``: |S_o|, ``oh``: whether o ∈ O_H.
 
     Everything needed to evaluate the worker answer likelihood
     P(v'|v, psi_w) of Eq. (3)/(4) per object.
     """
-    cand = candidate_sets(records)
-    info: dict[str, dict] = {}
-    for obj, grp in cand.groupby("object", sort=True):
-        values = list(grp["value"])
-        idx = {v: i for i, v in enumerate(values)}
-        info[obj] = {
-            "values": values,
-            "_idx": idx,
-            "anc": set(),
-            "cnt": pd.Series(0.0, index=range(len(values))).to_numpy(),
-            "gen_cnt": None,
-            "S": 0.0,
-            "oh": False,
-            "answered_by": set(),
+    st = candidate_stats(records, anc_pairs)
+    obj_of_cand, n_obj = st["obj_of_cand"], st["n_obj"]
+    start = np.searchsorted(obj_of_cand, np.arange(n_obj + 1))
+    d, a = np.divmod(st["anc_key"], st["n_cand"])
+    d_obj = obj_of_cand[d]
+    pairs = list(zip((d - start[d_obj]).tolist(), (a - start[d_obj]).tolist()))
+    pair_start = np.searchsorted(d_obj, np.arange(n_obj + 1)).tolist()
+    values = st["cand"]["value"].tolist()
+    cnt, gen_cnt = st["cnt"], st["gen_cnt"]
+    start = start.tolist()
+    S, oh = st["S_per_obj"].tolist(), st["oh"].tolist()
+    return {
+        o: {
+            "values": values[start[j] : start[j + 1]],
+            "anc": set(pairs[pair_start[j] : pair_start[j + 1]]),
+            "cnt": cnt[start[j] : start[j + 1]],
+            "gen_cnt": gen_cnt[start[j] : start[j + 1]],
+            "S": S[j],
+            "oh": oh[j],
         }
-    for o, v in zip(records["object"], records["value"]):
-        info[o]["cnt"][info[o]["_idx"][v]] += 1.0
-        info[o]["S"] += 1.0
-    if len(anc_pairs):
-        for o, v, a in anc_pairs[["object", "value", "anc"]].itertuples(index=False):
-            i = info[o]
-            i["anc"].add((i["_idx"][v], i["_idx"][a]))
-            i["oh"] = True
-    for o, i in info.items():
-        g = i["cnt"] * 0.0
-        for d, a in i["anc"]:
-            g[d] += i["cnt"][a]
-        i["gen_cnt"] = g
-    if answers is not None and len(answers):
-        for o, w in zip(answers["object"], answers["worker"]):
-            info[o]["answered_by"].add(w)
-    return info
+        for j, o in enumerate(st["objects"])
+    }

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.core.candidates import object_info
+from repro.core.candidates import candidate_codes, candidate_stats, object_info
 from repro.core.result import InferenceResult, argmax_truths
 
 
@@ -80,15 +80,17 @@ class TDH:
             pairs (``anc ∈ G_o(value)``).
         """
         p = _prepare(records, answers, anc_pairs)
-        mu, phi, psi, n_iter = self._em(p)
-        mu_num = _estep_sums(p, mu, phi, psi)[0]
-        info = object_info(records, answers, anc_pairs)
-        return _package(p, mu, phi, psi, self.gamma, n_iter, mu_num, info)
+        em = self._em(p)
+        mu_num = _estep_sums(p, *em[:3])[0]
+        return _package(self, p, em, mu_num, object_info(records, anc_pairs))
 
     # ------------------------------------------------------------------
     def _em(self, p: dict, sums=None):
         """Run EM on ``p``; ``sums(p, mu, phi, psi)`` returns the E-step
-        sums (default: :func:`_estep_sums` over ``p``'s own expanded rows)."""
+        sums (default: :func:`_estep_sums` over ``p``'s own expanded rows).
+
+        Returns ``(mu, phi, psi, n_iter, delta)``, ``delta`` being the last
+        iteration's max |Δμ| (inf if no iteration ran)."""
         sums = sums or _estep_sums
         gm1 = self.gamma - 1.0
         src: _Side = p["src"]
@@ -111,7 +113,7 @@ class TDH:
         )
         a_sum = self.alpha.sum() - 3.0
         b_sum = self.beta.sum() - 3.0
-        n_iter = 0
+        n_iter, delta = 0, float("inf")
         for n_iter in range(1, self.max_iter + 1):
             mu_num, g_src, g_wrk = sums(p, mu, phi, psi)
             mu_new = (mu_num + gm1) / mu_den[obj_of]
@@ -126,20 +128,18 @@ class TDH:
             mu = mu_new
             if delta < self.tol:
                 break
-        return mu, phi, psi, n_iter
+        return mu, phi, psi, n_iter, delta
 
 
 # ----------------------------------------------------------------------
 def _estep(side: _Side, param: np.ndarray, mu: np.ndarray):
     """One E-step over a side: returns per-candidate f sums' raw values
     aligned to rows (to be bincounted by caller) and per-agent g sums."""
-    w = param[side.agent, side.rel - 1] * side.coef * mu[side.cand]
+    key = side.agent * 3 + side.rel - 1  # flat (agent, rel) index into param
+    w = param.reshape(-1)[key] * side.coef * mu[side.cand]
     z = np.bincount(side.row, w, minlength=side.n_rows)
     f = w / z[side.row]
-    g = np.zeros((side.n_agents, 3))
-    for t in (1, 2, 3):
-        m = side.rel == t
-        g[:, t - 1] = np.bincount(side.agent[m], f[m], minlength=side.n_agents)
+    g = np.bincount(key, f, minlength=3 * side.n_agents).reshape(side.n_agents, 3)
     return f, g
 
 
@@ -167,174 +167,94 @@ def _prepare(
         answers = None
     if answers is not None and answers.duplicated(["object", "worker"]).any():
         raise ValueError("answers must have at most one row per (object, worker)")
-    cand = (
-        records[["object", "value"]]
-        .drop_duplicates()
-        .sort_values(["object", "value"])
-        .reset_index(drop=True)
-    )
-    objects = sorted(cand["object"].unique())
-    ocode = {o: i for i, o in enumerate(objects)}
-    cand["ocode"] = cand["object"].map(ocode)
-    cand["cid"] = np.arange(len(cand))
-    cid_of = {(o, v): c for o, v, c in zip(cand["object"], cand["value"], cand["cid"])}
-    n_obj, n_cand = len(objects), len(cand)
+    stats = candidate_stats(records, anc_pairs)
+    n_cand = stats["n_cand"]
+    rec = records.reset_index(drop=True).sort_values(["object", "source"])
+    rec_cid = stats["rec_cid"][rec.index]
+    stats["src"] = _expand_side(rec_cid, rec["source"], stats, popularity=False)
+    stats["wrk"], stats["ans_cnt"] = None, np.zeros(n_cand)
     if answers is not None:
-        for o, v in zip(answers["object"], answers["value"]):
-            if (o, v) not in cid_of:
-                raise ValueError(f"answer value {v!r} not a candidate of {o!r}")
-    obj_of_cand = cand["ocode"].to_numpy()
-    nV_per_obj = np.bincount(obj_of_cand, minlength=n_obj).astype(float)
-
-    # ancestor pairs → cid space
-    anc_cids: set[tuple[int, int]] = set()
-    if len(anc_pairs):
-        for o, v, a in anc_pairs[["object", "value", "anc"]].itertuples(index=False):
-            d_cid = cid_of.get((o, v))
-            a_cid = cid_of.get((o, a))
-            if d_cid is None or a_cid is None:
-                raise ValueError(f"ancestor pair ({o},{v},{a}) not in candidate set")
-            anc_cids.add((d_cid, a_cid))
-    nG = np.zeros(n_cand)
-    for d, _a in anc_cids:
-        nG[d] += 1
-    oh = np.zeros(n_obj, dtype=bool)
-    for d, _a in anc_cids:
-        oh[obj_of_cand[d]] = True
-
-    # source claim counts per candidate; popularity denominators
-    rec = records.sort_values(["object", "source"]).reset_index(drop=True)
-    rec_cid = np.asarray([cid_of[(o, v)] for o, v in zip(rec["object"], rec["value"])])
-    cnt = np.bincount(rec_cid, minlength=n_cand).astype(float)
-    gen_cnt = np.zeros(n_cand)
-    for d, a in anc_cids:
-        gen_cnt[d] += cnt[a]
-    S_per_obj = np.bincount(rec["object"].map(ocode).to_numpy(), minlength=n_obj).astype(
-        float
-    )
-
-    stats = {
-        "n_obj": n_obj,
-        "n_cand": n_cand,
-        "objects": objects,
-        "cand": cand,
-        "cid_of": cid_of,
-        "obj_of_cand": obj_of_cand,
-        "nV": nV_per_obj,
-        "nG": nG,
-        "oh": oh,
-        "cnt": cnt,
-        "gen_cnt": gen_cnt,
-        "S_per_obj": S_per_obj,
-        "anc_cids": anc_cids,
-    }
-    stats["src"] = _expand_side(
-        rec, "source", stats, popularity=False, ocode=ocode
-    )
-    if answers is not None:
-        ans = answers.sort_values(["object", "worker"]).reset_index(drop=True)
-        stats["wrk"] = _expand_side(ans, "worker", stats, popularity=True, ocode=ocode)
-        stats["ans_cnt"] = np.bincount(
-            np.asarray([cid_of[(o, v)] for o, v in zip(ans["object"], ans["value"])]),
-            minlength=n_cand,
-        ).astype(float)
-    else:
-        stats["wrk"] = None
-        stats["ans_cnt"] = np.zeros(n_cand)
+        ans_cid = candidate_codes(stats["cand_index"], answers["object"], answers["value"])
+        if (ans_cid < 0).any():
+            o, v = answers[["object", "value"]].to_numpy()[(ans_cid < 0).argmax()]
+            raise ValueError(f"answer value {v!r} not a candidate of {o!r}")
+        ans = answers.reset_index(drop=True).sort_values(["object", "worker"])
+        ans_cid = ans_cid[ans.index]
+        stats["wrk"] = _expand_side(ans_cid, ans["worker"], stats, popularity=True)
+        stats["ans_cnt"] = np.bincount(ans_cid, minlength=n_cand).astype(float)
     return stats
 
 
 def _expand_side(
-    claims: pd.DataFrame, agent_col: str, stats: dict, *, popularity: bool, ocode: dict
+    claim_cid: np.ndarray, claim_agent: pd.Series, stats: dict, *, popularity: bool
 ) -> _Side:
     """Build the expanded (claim × candidate-of-object) relation.
 
+    ``claim_cid`` is each claim's candidate id and ``claim_agent`` its
+    source or worker, with claims sorted by (object, agent). Rows follow
+    claim order, then candidate order; a claim's own candidate of an
+    object without ancestor pairs gets two rows, rel 1 then rel 2.
     ``popularity=False`` gives the source coefficients of Eq. (1)–(2);
     ``popularity=True`` gives the worker coefficients of Eq. (3)–(4).
     """
-    agents = sorted(claims[agent_col].unique())
-    acode = {a: i for i, a in enumerate(agents)}
-    cid_of = stats["cid_of"]
-    obj_of_cand = stats["obj_of_cand"]
+    agents = sorted(claim_agent.unique())
+    agent_code = pd.Index(agents).get_indexer(claim_agent)
+    obj_of_cand, n_cand = stats["obj_of_cand"], stats["n_cand"]
     nV, nG, oh = stats["nV"], stats["nG"], stats["oh"]
     cnt, gen_cnt, S = stats["cnt"], stats["gen_cnt"], stats["S_per_obj"]
-    anc_cids = stats["anc_cids"]
-    cand = stats["cand"]
-    cands_by_obj: dict[int, np.ndarray] = {
-        int(k): g["cid"].to_numpy() for k, g in cand.groupby("ocode", sort=True)
-    }
 
-    rows, agts, cands_, rels, coefs = [], [], [], [], []
-    for i, (o, a, v) in enumerate(
-        zip(claims["object"], claims[agent_col], claims["value"])
-    ):
-        oc = ocode[o]
-        claim_cid = cid_of[(o, v)]
-        a_i = acode[a]
-        is_oh = oh[oc]
-        for c in cands_by_obj[oc]:
-            if c == claim_cid:
-                if is_oh:
-                    pairs = [(1, 1.0)]
-                else:
-                    pairs = [(1, 1.0), (2, 1.0)]  # Eq. (2)/(4): phi1+phi2 collapse
-            elif (c, claim_cid) in anc_cids:  # claim ∈ G_o(truth candidate c)
-                if popularity:
-                    pairs = [(2, cnt[claim_cid] / gen_cnt[c])]
-                else:
-                    pairs = [(2, 1.0 / nG[c])]
-            else:
-                if is_oh:
-                    if popularity:
-                        den = S[oc] - cnt[c] - gen_cnt[c]
-                        pairs = [(3, cnt[claim_cid] / den if den > 0 else 0.0)]
-                    else:
-                        den = nV[oc] - nG[c] - 1.0
-                        pairs = [(3, 1.0 / den if den > 0 else 0.0)]
-                else:
-                    if popularity:
-                        den = S[oc] - cnt[c]
-                        pairs = [(3, cnt[claim_cid] / den if den > 0 else 0.0)]
-                    else:
-                        pairs = [(3, 1.0 / (nV[oc] - 1.0))]
-            for rel, coef in pairs:
-                rows.append(i)
-                agts.append(a_i)
-                cands_.append(c)
-                rels.append(rel)
-                coefs.append(coef)
-    claims_per_agent = np.bincount(
-        claims[agent_col].map(acode).to_numpy(), minlength=len(agents)
-    ).astype(float)
-    claims_per_object = np.bincount(
-        claims["object"].map(ocode).to_numpy(), minlength=stats["n_obj"]
-    ).astype(float)
+    # one row per (claim, candidate of the claim's object)
+    claim_obj = obj_of_cand[claim_cid]
+    n_here = nV.astype(int)[claim_obj]
+    first_cand = np.searchsorted(obj_of_cand, claim_obj)
+    row = np.repeat(np.arange(len(claim_cid)), n_here)
+    pos = np.arange(len(row)) - np.repeat(np.cumsum(n_here) - n_here, n_here)
+    c = first_cand[row] + pos
+    claim, o = claim_cid[row], claim_obj[row]
+    is_oh = oh[o]
+
+    exact = c == claim
+    gen = np.isin(c * n_cand + claim, stats["anc_key"])  # claim ∈ G_o(c)
+    wrong = ~exact & ~gen
+    coef = np.ones(len(row))
+    if popularity:
+        coef[gen] = cnt[claim[gen]] / gen_cnt[c[gen]]
+        num = cnt[claim]
+        den = np.where(is_oh, S[o] - cnt[c] - gen_cnt[c], S[o] - cnt[c])
+    else:
+        coef[gen] = 1.0 / nG[c[gen]]
+        num = np.ones(len(row))
+        den = np.where(is_oh, nV[o] - nG[c] - 1.0, nV[o] - 1.0)
+    ok = wrong & (den > 0)
+    coef[wrong] = 0.0
+    coef[ok] = num[ok] / den[ok]
+    rel = np.where(exact, 1, np.where(gen, 2, 3))
+
+    # Eq. (2)/(4): o ∉ O_H collapses phi1+phi2, a second (rel 2) row
+    twice = np.repeat(np.arange(len(row)), 1 + (exact & ~is_oh))
+    rel = rel[twice]
+    rel[1:][twice[1:] == twice[:-1]] = 2
     return _Side(
-        row=np.asarray(rows),
-        agent=np.asarray(agts),
-        cand=np.asarray(cands_),
-        rel=np.asarray(rels),
-        coef=np.asarray(coefs, dtype=float),
-        n_rows=len(claims),
+        row=row[twice],
+        agent=agent_code[row][twice],
+        cand=c[twice],
+        rel=rel,
+        coef=coef[twice],
+        n_rows=len(claim_cid),
         n_agents=len(agents),
-        claims_per_agent=claims_per_agent,
-        claims_per_object=claims_per_object,
+        claims_per_agent=np.bincount(agent_code, minlength=len(agents)).astype(float),
+        claims_per_object=np.bincount(claim_obj, minlength=stats["n_obj"]).astype(float),
         agents=agents,
     )
 
 
 def _package(
-    p: dict,
-    mu: np.ndarray,
-    phi: np.ndarray,
-    psi: np.ndarray | None,
-    gamma: float,
-    n_iter: int,
-    mu_num: np.ndarray,
-    info: dict,
+    model: TDH, p: dict, em: tuple, mu_num: np.ndarray, info: dict
 ) -> InferenceResult:
-    """The fit's result; ``mu_num`` is :func:`_estep_sums`'s ``f`` at the
-    final parameters and ``info`` the fit's :func:`object_info`."""
+    """The fit's result; ``em`` is :meth:`TDH._em`'s return value,
+    ``mu_num`` :func:`_estep_sums`'s ``f`` at its parameters and ``info``
+    the fit's :func:`object_info`."""
+    mu, phi, psi, n_iter, delta = em
     cand = p["cand"]
     mu_df = pd.DataFrame(
         {"object": cand["object"], "value": cand["value"], "mu": mu}
@@ -350,14 +270,20 @@ def _package(
         psi_df = pd.DataFrame(psi, columns=["psi1", "psi2", "psi3"])
         psi_df.insert(0, "worker", wrk.agents)
         wacc = pd.DataFrame({"worker": wrk.agents, "acc": psi[:, 0]})
-    gm1 = gamma - 1.0
+    gm1 = model.gamma - 1.0
     # Eq. (9) numerator/denominator, cached for the EAI incremental EM.
     W_per_obj = p["wrk"].claims_per_object if psi is not None else np.zeros(p["n_obj"])
     N = mu_num + gm1
     D = src.claims_per_object + W_per_obj + p["nV"] * gm1
     N_df = pd.DataFrame({"object": cand["object"], "value": cand["value"], "N": N})
     D_df = pd.DataFrame({"object": p["objects"], "D": D})
-    extras = {"n_iter": n_iter, "object_info": info}
+    extras = {
+        "n_iter": n_iter,
+        "converged": delta < model.tol,
+        "final_delta": delta,
+        "psi_prior_mean": model.beta / model.beta.sum(),  # ψ of unseen workers
+        "object_info": info,
+    }
     return InferenceResult(
         truths=truths,
         mu=mu_df,

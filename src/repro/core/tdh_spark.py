@@ -66,9 +66,9 @@ class TDHSpark(TDH):
         """
         p = self._build_base(records, answers, anc_pairs)
         try:
-            mu, phi, psi, n_iter = self._em(p, self._estep_job)
-            mu_num = self._estep_job(p, mu, phi, psi)[0]
-            return self._package(p, mu, phi, psi, n_iter, mu_num)
+            em = self._em(p, self._estep_job)
+            mu_num = self._estep_job(p, *em[:3])[0]
+            return self._package(p, em, mu_num)
         finally:
             p["shards"].unpersist()
 
@@ -130,8 +130,8 @@ class TDHSpark(TDH):
         mu_num = np.concatenate([m for m, _, _ in parts])
         return mu_num, sum(g for _, g, _ in parts), g_wrk
 
-    def _package(self, p, mu, phi, psi, n_iter, mu_num) -> InferenceResult:
-        return _package(p, mu, phi, psi, self.gamma, n_iter, mu_num, p["object_info"])
+    def _package(self, p, em, mu_num) -> InferenceResult:
+        return _package(self, p, em, mu_num, p["object_info"])
 
 
 def _distinct(df: DataFrame, col: str) -> list:
@@ -174,7 +174,7 @@ def _build_shard(shard: int, rows, sources: list, workers: list):
             p[key] = replace(side, agent=glob[side.agent], n_agents=len(names),
                              claims_per_agent=per_agent, agents=names)
         agg[f"{key}_per_obj"], agg[f"{key}_per_agent"] = per_obj, per_agent
-    agg["object_info"] = object_info(rec, ans, anc)
+    agg["object_info"] = object_info(rec, anc)
     # Kept pickled in the cache, so the E-step jobs do not unpickle it again.
     slim = {"src": p["src"], "wrk": p["wrk"], "n_cand": p["n_cand"]}
     yield shard, slim, pickle.dumps(agg)

@@ -144,7 +144,7 @@ def run_crowdsourcing(
             answered=answered,
             rng=rng,
             object_info=res.extras.get("object_info")
-            or object_info(ds.records, answers if len(answers) else None, anc),
+            or object_info(ds.records, anc),
         )
         assignment = assigner(ctx)
         new_rows = []

@@ -8,14 +8,15 @@ from repro.assign.common import (
     onecoin_likelihood_matrix,
     tdh_likelihood_matrix,
 )
-from repro.assign.eai import eai_assign, eai_quality, u_eai, _ensure_nd_maps
+from repro.assign.eai import eai_assign, eai_quality, incremental_em, u_eai
 from repro.assign.mb import mb_assign
 from repro.assign.me import me_assign
 from repro.assign.qasca import qasca_assign
 from repro.baselines.vote import vote
 from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
-from repro.core.tdh_local import TDH
+from repro.core.tdh_local import TDH, _estep_sums, _prepare
 from repro.datagen.truthdata import birthplaces_lite
+from repro.eval.simulate import run_crowdsourcing
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,12 @@ def tdh_result(ds):
     cand = candidate_sets(ds.records)
     anc = hierarchical_ancestor_pairs(cand, ds.hierarchy)
     return TDH().fit(ds.records, None, anc)
+
+
+@pytest.fixture(scope="module")
+def crowd(ds):
+    """One TDH+EAI round: ``final`` is a TDH fit with 50 worker answers."""
+    return run_crowdsourcing(ds, "TDH", "EAI", rounds=1, seed=0)
 
 
 def make_ctx(result, k=5, answered=None, workers=None, seed=0):
@@ -68,18 +75,73 @@ class TestLikelihoodMatrices:
 
 
 class TestEAI:
-    def test_upper_bound_holds(self, tdh_result):
-        """Lemma 4.1: EAI(w, o) ≤ U_EAI(o) for every pair."""
-        ctx = make_ctx(tdh_result)
-        _ensure_nd_maps(ctx)
-        for o in ctx.objects[:40]:
-            u = u_eai(ctx, o)
-            for w in ctx.workers:
-                assert eai_quality(ctx, w, o) <= u + 1e-12
+    def test_upper_bound_holds(self, tdh_result, crowd):
+        """Lemma 4.1: EAI(w, o) ≤ U_EAI(o) for every pair, seen and unseen
+        workers, with and without answers."""
+        workers = sorted(set(crowd.answers["worker"])) + ["unseen"]
+        for res in (tdh_result, crowd.final):
+            ctx = make_ctx(make_result_copy(res), workers=workers)
+            for o in ctx.objects:
+                u = u_eai(ctx, o)
+                for w in workers:
+                    assert eai_quality(ctx, w, o) <= u + 1e-12
+
+    def test_incremental_em_matches_exact_step(self, ds, crowd):
+        """Eq. (16)–(18) equal an exact recomputation: ``_prepare`` with the
+        answer added, ``_estep_sums`` at the fit's μ/φ/ψ, then Eq. (9)."""
+        res, answers = crowd.final, crowd.answers
+        anc = hierarchical_ancestor_pairs(candidate_sets(ds.records), ds.hierarchy)
+        psi_of = {
+            w: np.asarray(r, dtype=float)
+            for w, *r in res.psi[["worker", "psi1", "psi2", "psi3"]].itertuples(index=False)
+        }
+        seen = answers["worker"].iloc[0]
+        ctx = make_ctx(make_result_copy(res), workers=[seen, "unseen"])
+        mu = res.mu["mu"].to_numpy()
+        phi = res.phi[["phi1", "phi2", "phi3"]].to_numpy()
+        done = set(answers.loc[answers["worker"] == seen, "object"])
+        free = [
+            o for o in ctx.objects
+            if len(ctx.object_info[o]["values"]) > 1 and o not in done
+        ]
+        hier = [o for o in free if ctx.object_info[o]["oh"]][:3]
+        flat = [o for o in free if not ctx.object_info[o]["oh"]][:3]
+        assert hier and flat
+        for o in hier + flat:
+            _, mu_cond = incremental_em(ctx, o)
+            for wi, w in enumerate(ctx.workers):
+                for vi, v in enumerate(ctx.object_info[o]["values"]):
+                    extra = pd.DataFrame([(o, w, v)], columns=answers.columns)
+                    p = _prepare(ds.records, pd.concat([answers, extra]), anc)
+                    psi = np.stack([
+                        psi_of.get(a, res.extras["psi_prior_mean"]) for a in p["wrk"].agents
+                    ])
+                    mu_num = _estep_sums(p, mu, phi, psi)[0]
+                    k = p["objects"].index(o)
+                    cids = np.flatnonzero(p["obj_of_cand"] == k)
+                    D = p["src"].claims_per_object[k] + p["wrk"].claims_per_object[k] + p["nV"][k]
+                    exact = (mu_num[cids] + 1.0) / D  # gamma = 2
+                    assert np.abs(mu_cond[wi, vi] - exact).max() <= 1e-12
+
+    def test_unseen_worker_uses_fit_prior_mean(self, ds):
+        """ψ of a worker without answers is the fit's β prior mean."""
+        anc = hierarchical_ancestor_pairs(candidate_sets(ds.records), ds.hierarchy)
+        first = candidate_sets(ds.records).groupby("object").head(1).head(5)
+        answers = first.assign(worker="w0")[["object", "worker", "value"]]
+        res = TDH(beta=(4.0, 2.0, 2.0)).fit(ds.records, answers, anc)
+        ctx = make_ctx(res, workers=["w0", "fresh"])
+        assert np.array_equal(ctx.worker_psi("fresh"), [0.5, 0.25, 0.25])
+        o = next(o for o in ctx.objects if len(ctx.object_info[o]["values"]) > 1)
+        pv, _ = incremental_em(ctx, o)
+        B1, B2, B3 = ctx.likelihood_basis(o)
+        mu = np.asarray([ctx.mu_map[o][v] for v in ctx.object_info[o]["values"]])
+        assert np.allclose(pv[1], (0.5 * B1 + 0.25 * B2 + 0.25 * B3) @ mu)
+        legacy = make_result_copy(res)
+        del legacy.extras["psi_prior_mean"]
+        assert np.array_equal(make_ctx(legacy).worker_psi("fresh"), [1 / 3, 1 / 3, 1 / 3])
 
     def test_single_candidate_zero(self, tdh_result):
         ctx = make_ctx(tdh_result)
-        _ensure_nd_maps(ctx)
         singles = [o for o in ctx.objects if len(ctx.object_info[o]["values"]) == 1]
         if not singles:
             pytest.skip("no single-candidate objects at this scale")

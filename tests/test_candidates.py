@@ -89,7 +89,7 @@ class TestObjectInfo:
     def test_counts(self, recs, h):
         cand = candidate_sets(recs)
         anc = hierarchical_ancestor_pairs(cand, h)
-        info = object_info(recs, None, anc)
+        info = object_info(recs, anc)
         o1 = info["o1"]
         assert o1["S"] == 3.0
         assert o1["oh"] is True
@@ -99,19 +99,9 @@ class TestObjectInfo:
         assert o1["cnt"][ny] == 1.0
         assert o1["gen_cnt"][li] == 1.0  # NY claimed once, is ancestor of LI
 
-    def test_answered_by(self, recs, h):
-        cand = candidate_sets(recs)
-        anc = hierarchical_ancestor_pairs(cand, h)
-        answers = pd.DataFrame(
-            [("o1", "w1", "NY")], columns=["object", "worker", "value"]
-        )
-        info = object_info(recs, answers, anc)
-        assert info["o1"]["answered_by"] == {"w1"}
-        assert info["o2"]["answered_by"] == set()
-
     def test_flat_object(self, recs, h):
         cand = candidate_sets(recs)
         anc = hierarchical_ancestor_pairs(cand, h)
-        info = object_info(recs, None, anc)
+        info = object_info(recs, anc)
         assert info["o2"]["oh"] is False
         assert np.all(info["o2"]["gen_cnt"] == 0.0)

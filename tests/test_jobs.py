@@ -1,4 +1,5 @@
 """The job entrypoints must at least import and expose a main()."""
+import ast
 import importlib.util
 import os
 import pathlib
@@ -44,5 +45,23 @@ def test_run_tdh_without_pythonpath():
     )
     assert out.returncode == 0, out.stderr[-3000:]
     (line,) = [ln for ln in out.stdout.splitlines() if ln.startswith("[tdh] ")]
+    assert re.search(r" converged=(True|False) ", line), line
     accuracy = float(re.search(r" accuracy=([0-9.]+)", line).group(1))
     assert 0.5 < accuracy <= 1.0, line
+
+
+def test_assign_tasks_runs_eai_on_a_spark_fit():
+    """EAI's per-object ``N_ov`` slices from a ``TDHSpark`` fit's
+    shard-concatenated candidates."""
+    out = subprocess.run(
+        [sys.executable, str(JOBS / "assign_tasks.py"), "--sf", "0.01"],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert out.returncode == 0, out.stderr[-3000:]
+    (line,) = [ln for ln in out.stdout.splitlines() if ln.startswith("[assign] EAI evaluations:")]
+    n_eval = int(line.rsplit(":", 1)[1])
+    plans = [ln.split(": ", 1)[1] for ln in out.stdout.splitlines() if re.match(r"\[assign\] w\d+: ", ln)]
+    n_assigned = sum(len(ast.literal_eval(p)) for p in plans)
+    assert len(plans) == 10 and 0 < n_assigned <= n_eval, out.stdout

@@ -2,9 +2,15 @@
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
-from repro.core.tdh_local import TDH, _prepare
+from repro.core.candidates import (
+    candidate_codes,
+    candidate_sets,
+    hierarchical_ancestor_pairs,
+)
+from repro.core.tdh_local import TDH, _expand_side, _prepare
 from repro.datagen.truthdata import birthplaces_lite
 from repro.eval import metrics as M
 from repro.hierarchy import Hierarchy
@@ -132,6 +138,30 @@ class TestEMInvariants:
         assert M.accuracy(res.truths, gold) >= M.accuracy(vote(ds.records).truths, gold)
 
 
+class TestFitDiagnostics:
+    @pytest.fixture(scope="class")
+    def bp(self):
+        ds = birthplaces_lite(sf=0.1, seed=0)
+        return ds, hierarchical_ancestor_pairs(candidate_sets(ds.records), ds.hierarchy)
+
+    def test_round_loop_cap_is_reported(self, bp):
+        """The round loop's ``TDH(max_iter=60)`` stops before ``tol``."""
+        from repro.eval.simulate import INFERENCE
+
+        ds, anc = bp
+        res = INFERENCE["TDH"](ds, None, anc, ds.records, None)
+        assert res.extras["n_iter"] == 60
+        assert res.extras["converged"] is False
+        assert res.extras["final_delta"] >= 1e-7
+
+    def test_converged_fit(self, bp):
+        ds, anc = bp
+        res = TDH(max_iter=400).fit(ds.records, None, anc)
+        assert res.extras["n_iter"] < 400
+        assert res.extras["converged"] is True
+        assert 0.0 <= res.extras["final_delta"] < 1e-7
+
+
 class TestWorkerSide:
     def test_answers_change_mu(self, h):
         rows = [
@@ -253,3 +283,141 @@ class TestPriors:
         strong = _fit(recs, h, gamma=5.0).mu_map()["o1"]["LA"]
         weak = _fit(recs, h, gamma=2.0).mu_map()["o1"]["LA"]
         assert strong < weak  # heavier prior pulls toward uniform
+
+
+# ----------------------------------------------------------------------
+# Expansion oracle: the per-claim loop of Eq. (1)–(4) is the specification
+# of the vectorised ``_prepare``/``_expand_side``.
+
+
+def _reference_stats(records, anc_pairs):
+    cand = candidate_sets(records)
+    objects = sorted(cand["object"].unique())
+    ocode = {o: i for i, o in enumerate(objects)}
+    cid_of = {(o, v): c for c, (o, v) in enumerate(zip(cand["object"], cand["value"]))}
+    obj_of_cand = np.asarray([ocode[o] for o in cand["object"]])
+    anc_cids = {
+        (cid_of[(o, v)], cid_of[(o, a)])
+        for o, v, a in anc_pairs[["object", "value", "anc"]].itertuples(index=False)
+    }
+    nG, gen_cnt, cnt = np.zeros(len(cand)), np.zeros(len(cand)), np.zeros(len(cand))
+    oh, S = np.zeros(len(objects), dtype=bool), np.zeros(len(objects))
+    for o, v in zip(records["object"], records["value"]):
+        cnt[cid_of[(o, v)]] += 1.0
+        S[ocode[o]] += 1.0
+    for d, a in anc_cids:
+        nG[d] += 1
+        gen_cnt[d] += cnt[a]
+        oh[obj_of_cand[d]] = True
+    cands_by_obj = {}
+    for c, k in enumerate(obj_of_cand):
+        cands_by_obj.setdefault(k, []).append(c)
+    return dict(
+        ocode=ocode, cid_of=cid_of, anc_cids=anc_cids, cands_by_obj=cands_by_obj,
+        nV=np.bincount(obj_of_cand).astype(float), nG=nG, oh=oh, cnt=cnt,
+        gen_cnt=gen_cnt, S=S,
+    )
+
+
+def _reference_side(claims, agent_col, ref, *, popularity):
+    """(row, agent, cand, rel, coef) of one side, built claim by claim."""
+    acode = {a: i for i, a in enumerate(sorted(claims[agent_col].unique()))}
+    nV, nG, oh, cnt, gen_cnt, S = (ref[k] for k in ("nV", "nG", "oh", "cnt", "gen_cnt", "S"))
+    out = []
+    for i, (o, a, v) in enumerate(zip(claims["object"], claims[agent_col], claims["value"])):
+        oc, claim = ref["ocode"][o], ref["cid_of"][(o, v)]
+        for c in ref["cands_by_obj"][oc]:
+            if c == claim:
+                pairs = [(1, 1.0)] if oh[oc] else [(1, 1.0), (2, 1.0)]
+            elif (c, claim) in ref["anc_cids"]:
+                pairs = [(2, cnt[claim] / gen_cnt[c] if popularity else 1.0 / nG[c])]
+            elif oh[oc]:
+                den = S[oc] - cnt[c] - gen_cnt[c] if popularity else nV[oc] - nG[c] - 1.0
+                num = cnt[claim] if popularity else 1.0
+                pairs = [(3, num / den if den > 0 else 0.0)]
+            elif popularity:
+                den = S[oc] - cnt[c]
+                pairs = [(3, cnt[claim] / den if den > 0 else 0.0)]
+            else:
+                pairs = [(3, 1.0 / (nV[oc] - 1.0))]
+            out += [(i, acode[a], c, rel, coef) for rel, coef in pairs]
+    row, agent, cand, rel, coef = zip(*out)
+    return [np.asarray(x) for x in (row, agent, cand, rel, coef)]
+
+
+def _assert_side(side, expected):
+    got = (side.row, side.agent, side.cand, side.rel, side.coef)
+    for name, g, e in zip(("row", "agent", "cand", "rel", "coef"), got, expected):
+        assert np.array_equal(g, e, equal_nan=True), name
+
+
+@st.composite
+def _instances(draw):
+    """Up to 4 objects with 1–4 candidates, random ancestor pairs (possibly
+    none, possibly repeated), 1–5 source claims and 0–3 worker answers."""
+    vocab = ["a", "b", "c", "d"]
+    rec, ans, anc = [], [], []
+    for k in range(draw(st.integers(1, 4))):
+        o = f"o{k}"
+        claims = draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=5))
+        rec += [(o, f"s{i}", v) for i, v in enumerate(claims)]
+        cands = sorted(set(claims))
+        for i, j in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4)):
+            if i < len(cands) and j < len(cands) and i != j:
+                anc.append((o, cands[i], cands[j]))
+        for w in range(3):
+            if draw(st.booleans()):
+                ans.append((o, f"w{w}", draw(st.sampled_from(cands))))
+    return (
+        pd.DataFrame(rec, columns=["object", "source", "value"]),
+        pd.DataFrame(ans, columns=["object", "worker", "value"]),
+        pd.DataFrame(anc, columns=["object", "value", "anc"]),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_instances())
+def test_expansion_matches_per_claim_loop(inst):
+    """Flat and single-candidate objects, no answers and repeated ancestor
+    pairs: ``_prepare`` gives the loop's statistics and rows, in order."""
+    rec, ans, anc = inst
+    p = _prepare(rec, ans, anc)
+    ref = _reference_stats(rec, anc)
+    for key, ref_key in (("nV", "nV"), ("nG", "nG"), ("oh", "oh"), ("cnt", "cnt"),
+                         ("gen_cnt", "gen_cnt"), ("S_per_obj", "S")):
+        assert np.array_equal(p[key], ref[ref_key]), key
+    rec_sorted = rec.sort_values(["object", "source"]).reset_index(drop=True)
+    _assert_side(p["src"], _reference_side(rec_sorted, "source", ref, popularity=False))
+    if len(ans):
+        ans_sorted = ans.sort_values(["object", "worker"]).reset_index(drop=True)
+        _assert_side(p["wrk"], _reference_side(ans_sorted, "worker", ref, popularity=True))
+    else:
+        assert p["wrk"] is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_instances(), st.data())
+def test_expansion_zero_coefficient_when_den_not_positive(inst, data):
+    """Popularity counts drawn freely (zeros included), so Eq. (3)–(4)'s
+    ``Pop3`` denominator can be ≤ 0; both give those rows coefficient 0."""
+    rec, ans, anc = inst
+    if not len(ans):
+        return
+    p = _prepare(rec, ans, anc)
+    ref = _reference_stats(rec, anc)
+    n = p["n_cand"]
+    cnt = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), float)
+    S = np.asarray(data.draw(
+        st.lists(st.integers(0, 3), min_size=p["n_obj"], max_size=p["n_obj"])), float)
+    gen_cnt = np.zeros(n)
+    for d, a in ref["anc_cids"]:
+        gen_cnt[d] += cnt[a]
+    ref.update(cnt=cnt, gen_cnt=gen_cnt, S=S)
+    stats = dict(p, cnt=cnt, gen_cnt=gen_cnt, S_per_obj=S)
+    ans = ans.sort_values(["object", "worker"]).reset_index(drop=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # Pop2 with gen_cnt = 0
+        side = _expand_side(
+            candidate_codes(p["cand_index"], ans["object"], ans["value"]), ans["worker"], stats,
+            popularity=True,
+        )
+        _assert_side(side, _reference_side(ans, "worker", ref, popularity=True))

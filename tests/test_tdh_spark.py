@@ -158,6 +158,10 @@ def _tiny(case: str):
         anc.append(("o1", "NY", "Earth"))
     elif case == "empty answers":
         ans = []
+    elif case == "no ancestor pairs":
+        anc = []
+    elif case == "answers on one object":  # o2's shard has no worker side
+        ans = [("o1", "w1", "NY"), ("o1", "w2", "USA")]
     return (
         pd.DataFrame(rec, columns=["object", "source", "value"]),
         pd.DataFrame(ans, columns=["object", "worker", "value"]),
@@ -173,16 +177,20 @@ def _tiny(case: str):
         "non-candidate answer",
         "ancestor outside candidates",
         "empty answers",
+        "no ancestor pairs",
+        "answers on one object",
         "valid",
     ],
 )
 def test_engines_agree_on_edge_inputs(spark, case):
     """Both engines reject the same bad inputs with ``_prepare``'s message,
-    and agree on an empty answers frame and a single-candidate object."""
+    and agree on an empty answers frame, no ancestor pairs, a shard without
+    answers and a single-candidate object."""
     rec, ans, anc = _tiny(case)
     sp_ans = spark.createDataFrame(ans, "object string, worker string, value string")
+    sp_anc = spark.createDataFrame(anc, "object string, value string, anc string")
     fit_spark = lambda: TDHSpark(spark, max_iter=5).fit(  # noqa: E731
-        spark.createDataFrame(rec), sp_ans, spark.createDataFrame(anc)
+        spark.createDataFrame(rec), sp_ans, sp_anc
     )
     try:
         loc = TDH(max_iter=5).fit(rec, ans, anc)
@@ -190,8 +198,10 @@ def test_engines_agree_on_edge_inputs(spark, case):
         with pytest.raises(Exception, match=re.escape(str(e))):
             fit_spark()
         return
-    assert case in ("empty answers", "valid")
+    assert case in ("empty answers", "no ancestor pairs", "answers on one object", "valid")
     sp = fit_spark()
+    for key in ("n_iter", "converged", "final_delta"):
+        assert sp.extras[key] == pytest.approx(loc.extras[key], rel=1e-6), key
     if case == "empty answers":
         assert sp.psi is None
         none = TDH(max_iter=5).fit(rec, None, anc)
